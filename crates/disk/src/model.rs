@@ -382,6 +382,9 @@ pub struct Completion {
     pub service: Ns,
 }
 
+/// Requests a disk's queue and completion table hold before they grow.
+const RESERVED_REQUESTS: usize = 8;
+
 impl Disk {
     /// Create an idle disk with the head parked at block 0 and the
     /// default (paper-baseline) scheduler configuration.
@@ -403,11 +406,14 @@ impl Disk {
             head: 0,
             busy_until: 0,
             stats: DiskStats::default(),
-            queue: Vec::new(),
+            // Room for a typical queue, reserved with the disk instead
+            // of grown mid-run, so these long-lived buffers are not
+            // interleaved with the allocations a run makes.
+            queue: Vec::with_capacity(RESERVED_REQUESTS),
             pick_state: PickState::default(),
             tenant_count: 1,
             next_seq: 0,
-            done: HashMap::new(),
+            done: HashMap::with_capacity(RESERVED_REQUESTS),
         }
     }
 

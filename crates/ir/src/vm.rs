@@ -85,6 +85,15 @@ pub trait PagedVm {
     fn release(&mut self, addr: u64, pages: u64);
     /// Bundled prefetch + release hint (one call).
     fn prefetch_release(&mut self, pf_addr: u64, pf_pages: u64, rel_addr: u64, rel_pages: u64);
+    /// Make the page of the word at `addr` ready for the load or store
+    /// (`write`) the executor makes next, without waiting on disk.
+    /// `Some(t)`: the access is blocked until simulated time `t`; the
+    /// executor pauses and calls this again on resume, and makes the
+    /// load or store only after a `None`. The default never blocks and
+    /// leaves all the work to the load or store.
+    fn touch_nb(&mut self, _addr: u64, _write: bool) -> Option<u64> {
+        None
+    }
 }
 
 /// Untimed raw access to array bytes, for initialization and result

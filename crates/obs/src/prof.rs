@@ -3,7 +3,7 @@
 //!
 //! Everything else in this crate measures simulated nanoseconds. This
 //! module applies the same Figure-5 discipline to **host** time: the
-//! tree-walking interpreter (`oocp-ir::exec`) and the machine's charge
+//! interpreter (`oocp-ir::exec`) and the machine's charge
 //! paths carry scoped probes that attribute real `Instant` deltas to a
 //! site tree — kernel → loop nest → statement → opcode class on the
 //! interpreter side, flat residency/ledger/journal/sampler buckets on
@@ -192,8 +192,7 @@ const MACHINE_BUCKETS: usize = 4;
 const MACHINE_BUCKET_NAMES: [&str; MACHINE_BUCKETS] = ["residency", "ledger", "journal", "sampler"];
 
 /// Flat host-time accumulator for the machine's charge paths. Plain
-/// data (no `Instant`s stored), so a `Machine` holding one stays
-/// `Send` for the multi-tenant hub.
+/// data: no `Instant`s stored.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MachineProf {
     ns: [u64; MACHINE_BUCKETS],

@@ -18,8 +18,11 @@
 //! flow through here exactly as compiled application code would.
 
 use oocp_ir::{ArrayBinding, ArrayData, PagedVm, Program};
-use oocp_os::{Machine, MachineParams};
-use oocp_sim::time::{Ns, MICROSECOND};
+use oocp_os::{
+    Machine, MachineParams, PressureLevel, QosClass, Segment, TenantId, TenantSpec,
+    ELEVATED_BEST_EFFORT_SLOTS,
+};
+use oocp_sim::time::Ns;
 
 pub mod tenants;
 
@@ -29,16 +32,17 @@ pub use tenants::{segment_checksum, HubData, HubResult, TenantHub, TenantOutcome
 ///
 /// `Disabled` reproduces Figure 4(c)'s "no run-time layer" configuration:
 /// every compiler-inserted hint becomes a system call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FilterMode {
     /// Filter hints through the shared bit vector (normal operation).
+    #[default]
     Enabled,
     /// Pass every hint to the OS (ablation).
     Disabled,
 }
 
 /// Counters kept by the run-time layer.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RtStats {
     /// Prefetch operations executed by the application (compiler-
     /// inserted dynamic prefetches, before any filtering).
@@ -114,36 +118,7 @@ impl RtStats {
 /// The run-time layer bound to a machine.
 pub struct Runtime {
     machine: Machine,
-    mode: FilterMode,
-    /// User-level cost of one bit-vector check (~1% of a hint syscall).
-    check_ns: Ns,
-    stats: RtStats,
-    /// In-core adaptive mode (the paper's section 4.3.1 future work):
-    /// when the data set fits in memory and the cold faults are done,
-    /// suppress hint processing entirely.
-    adaptive: bool,
-    /// Consecutive fully-filtered prefetch operations observed.
-    filtered_streak: u32,
-    /// Suppression engaged (terminal for the run).
-    suppressing: bool,
-    /// Degraded (demand-paging-only) mode engaged: the hint path was
-    /// erroring, so hints are dropped at user level until probes show
-    /// the path has recovered. Hints are non-binding, so this only
-    /// costs time, never correctness.
-    degraded: bool,
-    /// Simulated time the current degraded episode began.
-    degraded_since: Ns,
-    /// Sliding window of recent hint-syscall outcomes, newest in bit 0
-    /// (1 = the syscall observed a dropped-on-error hint).
-    win_err: u32,
-    /// Valid samples in `win_err` (saturates at [`Runtime::DEGRADE_WINDOW`]).
-    win_len: u32,
-    /// Consecutive clean probes observed while degraded.
-    clean_probes: u32,
-    /// Prefetch-bearing ops since the last probe while degraded.
-    since_probe: u32,
-    /// Hint operations seen (drives the periodic resync cadence).
-    hint_seq: u64,
+    filter: HintFilter,
 }
 
 impl Runtime {
@@ -159,26 +134,18 @@ impl Runtime {
     /// run-time layer is roughly 1% as expensive as issuing it to the
     /// OS", and that *ratio* is what carries across platforms (a bit
     /// test is a couple of instructions on any machine).
+    ///
+    /// The program owns the machine: it is tenant 0 with unlimited
+    /// quotas and the whole address space as its segment.
     pub fn new(machine: Machine, mode: FilterMode) -> Self {
         // Registration itself is a one-time syscall; its cost is noise
         // and is folded into program startup (not modeled).
-        let check_ns = (machine.params().hint_syscall_ns / 100).max(1);
-        Self {
-            machine,
-            mode,
-            check_ns,
-            stats: RtStats::default(),
-            adaptive: false,
-            filtered_streak: 0,
-            suppressing: false,
-            degraded: false,
-            degraded_since: 0,
-            win_err: 0,
-            win_len: 0,
-            clean_probes: 0,
-            since_probe: 0,
-            hint_seq: 0,
-        }
+        let seg = Segment {
+            base: 0,
+            bytes: machine.total_pages() * machine.params().page_bytes,
+        };
+        let filter = HintFilter::new(&machine, mode, TenantSpec::unlimited(), 0, seg);
+        Self { machine, filter }
     }
 
     /// Build a machine sized for `prog`'s data set and wrap it.
@@ -196,18 +163,12 @@ impl Runtime {
         (Self::new(machine, mode), binds)
     }
 
-    /// Override the per-check cost.
-    pub fn with_check_ns(mut self, ns: Ns) -> Self {
-        self.check_ns = ns;
-        self
-    }
-
     /// Enable in-core adaptive suppression (paper section 4.3.1): if the
     /// data set fits in memory, once a run of prefetches has been fully
     /// filtered (the cold faults are in), stop processing hints at all.
     /// The suppression test itself costs two instructions (~100 ns).
     pub fn with_adaptive(mut self, on: bool) -> Self {
-        self.adaptive = on;
+        self.filter.adaptive = on;
         self
     }
 
@@ -236,28 +197,6 @@ impl Runtime {
     /// Cost of the suppressed-hint fast path (a flag test).
     const SUPPRESS_NS: Ns = 100;
 
-    /// Whether adaptive suppression may ever engage for this run.
-    fn in_core(&self) -> bool {
-        self.machine.total_pages() + self.machine.params().high_water
-            <= self.machine.params().resident_limit
-    }
-
-    /// Record a fully-filtered op; engage suppression after a streak.
-    fn note_fully_filtered(&mut self) {
-        if self.adaptive && self.in_core() {
-            self.filtered_streak += 1;
-            if self.filtered_streak >= Self::SUPPRESS_STREAK {
-                self.suppressing = true;
-            }
-        }
-    }
-
-    /// Fast path for a suppressed hint.
-    fn suppress(&mut self) {
-        self.stats.suppressed_ops += 1;
-        self.machine.tick_user(Self::SUPPRESS_NS);
-    }
-
     /// Sliding-window size for hint-path error observation.
     const DEGRADE_WINDOW: u32 = 32;
 
@@ -280,100 +219,12 @@ impl Runtime {
 
     /// Whether the runtime is currently in degraded mode.
     pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Per-hint-op bookkeeping shared by all three hint entry points.
-    /// Returns `true` when the op must be dropped cheaply because the
-    /// runtime is degraded; `false` means "process the hint normally"
-    /// (including the every-Nth probe issued while degraded).
-    /// `probe_eligible` is set for prefetch-bearing ops — only those can
-    /// observe hint-path health, so only those serve as probes.
-    fn begin_hint_op(&mut self, probe_eligible: bool) -> bool {
-        if self.mode != FilterMode::Enabled {
-            return false;
-        }
-        self.hint_seq += 1;
-        if self.hint_seq.is_multiple_of(Self::RESYNC_INTERVAL)
-            && self
-                .machine
-                .fault_plan()
-                .is_some_and(|p| p.bitvec_stale_prob > 0.0)
-        {
-            self.stats.periodic_resyncs += 1;
-            self.machine.resync_bits();
-        }
-        if !self.degraded {
-            return false;
-        }
-        if probe_eligible {
-            self.since_probe += 1;
-            if self.since_probe >= Self::PROBE_INTERVAL {
-                self.since_probe = 0;
-                return false; // issue this one for real, as a probe
-            }
-        }
-        self.stats.hints_dropped_degraded += 1;
-        self.machine.tick_user(Self::SUPPRESS_NS);
-        true
-    }
-
-    /// Record the outcome of a prefetch syscall: `err` is whether the
-    /// OS dropped any of its pages on an I/O error. Drives both the
-    /// entry window and the probe-based exit path.
-    fn note_hint_outcome(&mut self, err: bool) {
-        if self.degraded {
-            self.stats.degraded_probes += 1;
-            if err {
-                self.clean_probes = 0;
-            } else {
-                self.clean_probes += 1;
-                if self.clean_probes >= Self::EXIT_CLEAN_PROBES {
-                    self.exit_degraded();
-                }
-            }
-        } else {
-            // Shifting past the window width drops the oldest sample.
-            self.win_err = (self.win_err << 1) | err as u32;
-            self.win_len = (self.win_len + 1).min(Self::DEGRADE_WINDOW);
-            if self.win_len >= Self::DEGRADE_MIN_SAMPLES
-                && Self::DEGRADE_NUM * self.win_err.count_ones() >= self.win_len
-            {
-                self.enter_degraded();
-            }
-        }
-    }
-
-    /// Fall back to demand-paging-only mode.
-    fn enter_degraded(&mut self) {
-        self.degraded = true;
-        self.degraded_since = self.machine.now();
-        self.clean_probes = 0;
-        self.since_probe = 0;
-        self.stats.degraded_entries += 1;
-        self.machine.note_degraded(true);
-        // A reactive policy injecting readahead would defeat the whole
-        // point of demand-only mode; pause it for the episode.
-        self.machine.set_policy_enabled(false);
-    }
-
-    /// Resume hinting: the probe streak showed the path is healthy.
-    /// The bit vector may have drifted while hints were erroring, so it
-    /// is resynced before the filter trusts it again.
-    fn exit_degraded(&mut self) {
-        self.degraded = false;
-        self.stats.degraded_exits += 1;
-        self.stats.degraded_ns += self.machine.now().saturating_sub(self.degraded_since);
-        self.win_err = 0;
-        self.win_len = 0;
-        self.machine.resync_bits();
-        self.machine.note_degraded(false);
-        self.machine.set_policy_enabled(true);
+        self.filter.degraded
     }
 
     /// Run-time-layer counters.
     pub fn stats(&self) -> &RtStats {
-        &self.stats
+        &self.filter.stats
     }
 
     /// The wrapped machine.
@@ -390,12 +241,302 @@ impl Runtime {
     pub fn into_machine(self) -> Machine {
         self.machine
     }
+}
+
+/// One program's user-level hint filter and degraded-mode state
+/// machine. [`Runtime`] drives one for a program that owns the machine;
+/// [`TenantHub`] drives one per tenant. A tenant's policy is data here:
+/// hints are clamped to its segment, its pipelining-depth quota, and
+/// (best effort, under elevated pressure) the arbiter's slot limit; a
+/// brownout pushes a non-guaranteed tenant into degraded mode; and its
+/// hints shed under pressure count as errors. With [`Runtime::new`]'s
+/// unlimited whole-machine tenant none of that ever triggers.
+#[derive(Default)]
+struct HintFilter {
+    mode: FilterMode,
+    /// User-level cost of one bit-vector check (~1% of a hint syscall).
+    check_ns: Ns,
+    stats: RtStats,
+    spec: TenantSpec,
+    /// Whose residency bits the filter reads.
+    tenant: TenantId,
+    /// First page past the program's segment.
+    seg_end: u64,
+    /// In-core adaptive mode (the paper's section 4.3.1 future work):
+    /// when the data set fits in memory and the cold faults are done,
+    /// suppress hint processing entirely.
+    adaptive: bool,
+    /// Consecutive fully-filtered prefetch operations observed.
+    filtered_streak: u32,
+    /// Suppression engaged (terminal for the run).
+    suppressing: bool,
+    /// Degraded (demand-paging-only) mode engaged: the hint path was
+    /// erroring, so hints are dropped at user level until probes show
+    /// the path has recovered. Hints are non-binding, so this only
+    /// costs time, never correctness.
+    degraded: bool,
+    /// Simulated time the current degraded episode began.
+    degraded_since: Ns,
+    /// Sliding window of recent hint-syscall outcomes, newest in bit 0
+    /// (1 = the syscall observed a dropped-on-error hint).
+    win_err: u32,
+    /// Valid samples in `win_err` (saturates at [`Runtime::DEGRADE_WINDOW`]).
+    win_len: u32,
+    /// Consecutive clean probes observed while degraded.
+    clean_probes: u32,
+    /// Prefetch-bearing ops since the last probe while degraded.
+    since_probe: u32,
+    /// Hint operations seen (drives the periodic resync cadence).
+    hint_seq: u64,
+}
+
+impl HintFilter {
+    fn new(
+        m: &Machine,
+        mode: FilterMode,
+        spec: TenantSpec,
+        tenant: TenantId,
+        seg: Segment,
+    ) -> Self {
+        let page = m.params().page_bytes;
+        Self {
+            mode,
+            check_ns: (m.params().hint_syscall_ns / 100).max(1),
+            spec,
+            tenant,
+            seg_end: (seg.base + seg.bytes) / page,
+            ..Self::default()
+        }
+    }
+
+    /// Whether adaptive suppression may ever engage for this run.
+    fn in_core(m: &Machine) -> bool {
+        m.total_pages() + m.params().high_water <= m.params().resident_limit
+    }
+
+    /// Record a fully-filtered op; engage suppression after a streak.
+    fn note_fully_filtered(&mut self, m: &Machine) {
+        if self.adaptive && Self::in_core(m) {
+            self.filtered_streak += 1;
+            if self.filtered_streak >= Runtime::SUPPRESS_STREAK {
+                self.suppressing = true;
+            }
+        }
+    }
+
+    /// Fast path for a suppressed hint.
+    fn suppress(&mut self, m: &mut Machine) {
+        self.stats.suppressed_ops += 1;
+        m.tick_user(Runtime::SUPPRESS_NS);
+    }
+
+    /// Per-hint-op bookkeeping shared by all three hint entry points.
+    /// Returns `true` when the op must be dropped cheaply because the
+    /// filter is degraded; `false` means "process the hint normally"
+    /// (including the every-Nth probe issued while degraded).
+    /// `probe_eligible` is set for prefetch-bearing ops — only those can
+    /// observe hint-path health, so only those serve as probes.
+    fn begin_hint_op(&mut self, m: &mut Machine, probe_eligible: bool) -> bool {
+        if self.mode != FilterMode::Enabled {
+            return false;
+        }
+        self.hint_seq += 1;
+        if self.hint_seq.is_multiple_of(Runtime::RESYNC_INTERVAL)
+            && m.fault_plan().is_some_and(|p| p.bitvec_stale_prob > 0.0)
+        {
+            self.stats.periodic_resyncs += 1;
+            m.resync_bits();
+        }
+        // The pressure arbiter's strongest lever: a brownout pushes
+        // non-guaranteed tenants straight into demand-only mode; the
+        // probing recovery below notices when pressure has passed.
+        if !self.degraded
+            && self.spec.qos != QosClass::Guaranteed
+            && m.pressure_level() == PressureLevel::Brownout
+        {
+            self.enter_degraded(m);
+        }
+        if !self.degraded {
+            return false;
+        }
+        if probe_eligible {
+            self.since_probe += 1;
+            if self.since_probe >= Runtime::PROBE_INTERVAL {
+                self.since_probe = 0;
+                return false; // issue this one for real, as a probe
+            }
+        }
+        self.stats.hints_dropped_degraded += 1;
+        m.tick_user(Runtime::SUPPRESS_NS);
+        true
+    }
+
+    /// Hint pages the OS has dropped on an I/O error so far — plus, for
+    /// a non-guaranteed tenant, those it shed under pressure. A prefetch
+    /// syscall is unhealthy when this moves.
+    fn drops(&self, m: &Machine) -> u64 {
+        let s = m.stats();
+        let shed = if self.spec.qos == QosClass::Guaranteed {
+            0
+        } else {
+            s.hints_dropped_pressure
+        };
+        s.hints_dropped_on_error + shed
+    }
+
+    /// Record the outcome of a prefetch syscall: `err` is whether the
+    /// OS dropped any of its pages (see [`HintFilter::drops`]). Drives
+    /// both the entry window and the probe-based exit path.
+    fn note_hint_outcome(&mut self, m: &mut Machine, err: bool) {
+        if self.degraded {
+            self.stats.degraded_probes += 1;
+            if err {
+                self.clean_probes = 0;
+            } else {
+                self.clean_probes += 1;
+                if self.clean_probes >= Runtime::EXIT_CLEAN_PROBES {
+                    self.exit_degraded(m);
+                }
+            }
+        } else {
+            // Shifting past the window width drops the oldest sample.
+            self.win_err = (self.win_err << 1) | err as u32;
+            self.win_len = (self.win_len + 1).min(Runtime::DEGRADE_WINDOW);
+            if self.win_len >= Runtime::DEGRADE_MIN_SAMPLES
+                && Runtime::DEGRADE_NUM * self.win_err.count_ones() >= self.win_len
+            {
+                self.enter_degraded(m);
+            }
+        }
+    }
+
+    /// Fall back to demand-paging-only mode.
+    fn enter_degraded(&mut self, m: &mut Machine) {
+        self.degraded = true;
+        self.degraded_since = m.now();
+        self.clean_probes = 0;
+        self.since_probe = 0;
+        self.stats.degraded_entries += 1;
+        m.note_degraded(true);
+        // A reactive policy injecting readahead would defeat the whole
+        // point of demand-only mode; pause it for the episode.
+        m.set_policy_enabled(false);
+    }
+
+    /// Resume hinting: the probe streak showed the path is healthy.
+    /// The bit vector may have drifted while hints were erroring, so it
+    /// is resynced before the filter trusts it again.
+    fn exit_degraded(&mut self, m: &mut Machine) {
+        self.degraded = false;
+        self.stats.degraded_exits += 1;
+        self.stats.degraded_ns += m.now().saturating_sub(self.degraded_since);
+        self.win_err = 0;
+        self.win_len = 0;
+        m.resync_bits();
+        m.note_degraded(false);
+        m.set_policy_enabled(true);
+    }
 
     /// Check one page's residency bit, charging the user-level cost.
-    fn check(&mut self, page: u64) -> bool {
+    fn check(&mut self, m: &mut Machine, page: u64) -> bool {
         self.stats.bit_checks += 1;
-        self.machine.tick_user(self.check_ns);
-        self.machine.bits().test(page)
+        m.tick_user(self.check_ns);
+        m.tenant_bits_of(self.tenant).test(page)
+    }
+
+    /// Clamp a hint to the segment and the pipelining-depth quota
+    /// (tightened for best-effort tenants under elevated pressure: the
+    /// arbiter's second lever).
+    fn clamp(&self, m: &Machine, start: u64, pages: u64) -> u64 {
+        let mut pages = pages.min(self.seg_end.saturating_sub(start));
+        if let Some(d) = self.spec.max_pipeline_depth {
+            pages = pages.min(d.max(1));
+        }
+        if self.spec.qos == QosClass::BestEffort && m.pressure_level() == PressureLevel::Elevated {
+            pages = pages.min(ELEVATED_BEST_EFFORT_SLOTS);
+        }
+        pages
+    }
+
+    /// Check pages from `start` until one is not believed resident;
+    /// returns how many were.
+    fn resident_prefix(&mut self, m: &mut Machine, start: u64, pages: u64) -> u64 {
+        let mut k = 0;
+        while k < pages && self.check(m, start + k) {
+            self.stats.pages_filtered += 1;
+            k += 1;
+        }
+        k
+    }
+
+    /// A prefetch hint, bundled with a release of `rel` (address,
+    /// pages) when given. Hints near the end of an array may name pages
+    /// past it; they are non-binding, so they are clamped.
+    fn prefetch(&mut self, m: &mut Machine, addr: u64, pages: u64, rel: Option<(u64, u64)>) {
+        self.stats.prefetch_ops += 1;
+        self.stats.release_ops += rel.is_some() as u64;
+        if self.suppressing {
+            self.suppress(m);
+            return;
+        }
+        if self.begin_hint_op(m, true) {
+            return;
+        }
+        let start = m.page_of(addr);
+        let pages = self.clamp(m, start, pages);
+        self.stats.prefetch_pages += pages;
+        let rel = rel.map(|(a, n)| (m.page_of(a), n));
+        self.stats.release_syscalls += rel.is_some() as u64;
+        // Check pages until one is not believed resident; pass the
+        // remainder to the OS in one call.
+        let k = match self.mode {
+            FilterMode::Enabled => self.resident_prefix(m, start, pages),
+            FilterMode::Disabled => 0,
+        };
+        if k == pages {
+            if pages > 0 {
+                self.stats.ops_fully_filtered += 1;
+                // Only plain prefetches feed the adaptive streak.
+                if rel.is_none() {
+                    self.note_fully_filtered(m);
+                }
+            }
+            // The release half of a filtered bundle still needs a call.
+            if let Some((r, n)) = rel {
+                m.sys_release(r, n);
+            }
+            return;
+        }
+        self.stats.prefetch_syscalls += 1;
+        let drops = self.drops(m);
+        match rel {
+            None => {
+                self.filtered_streak = 0;
+                m.sys_prefetch(start + k, pages - k);
+            }
+            Some((r, n)) => m.sys_prefetch_release(start + k, pages - k, r, n),
+        }
+        if self.mode == FilterMode::Enabled {
+            self.note_hint_outcome(m, self.drops(m) > drops);
+        }
+    }
+
+    fn release(&mut self, m: &mut Machine, addr: u64, pages: u64) {
+        self.stats.release_ops += 1;
+        if self.suppressing {
+            self.suppress(m);
+            return;
+        }
+        // Releases cannot observe prefetch-read health, so they never
+        // serve as recovery probes.
+        if self.begin_hint_op(m, false) {
+            return;
+        }
+        // Raw page count: the hint charge is a function of the pages
+        // *named*, and the OS itself refuses to release pages a tenant
+        // does not own.
+        self.stats.release_syscalls += 1;
+        m.sys_release(m.page_of(addr), pages);
     }
 }
 
@@ -425,118 +566,17 @@ impl PagedVm for Runtime {
     }
 
     fn prefetch(&mut self, addr: u64, pages: u64) {
-        self.stats.prefetch_ops += 1;
-        if self.suppressing {
-            self.suppress();
-            return;
-        }
-        if self.begin_hint_op(true) {
-            return;
-        }
-        let start = self.machine.page_of(addr);
-        // Clamp the hint to the address space (hints near the end of an
-        // array may name pages past it; they are non-binding).
-        let pages = pages.min(self.machine.total_pages().saturating_sub(start));
-        self.stats.prefetch_pages += pages;
-        if pages == 0 {
-            return;
-        }
-        match self.mode {
-            FilterMode::Disabled => {
-                self.stats.prefetch_syscalls += 1;
-                self.machine.sys_prefetch(start, pages);
-            }
-            FilterMode::Enabled => {
-                // Check pages until one is not believed resident; pass
-                // the remainder to the OS in one call.
-                let mut k = 0;
-                while k < pages && self.check(start + k) {
-                    self.stats.pages_filtered += 1;
-                    k += 1;
-                }
-                if k == pages {
-                    self.stats.ops_fully_filtered += 1;
-                    self.note_fully_filtered();
-                } else {
-                    self.stats.prefetch_syscalls += 1;
-                    self.filtered_streak = 0;
-                    let drops = self.machine.stats().hints_dropped_on_error;
-                    self.machine.sys_prefetch(start + k, pages - k);
-                    self.note_hint_outcome(self.machine.stats().hints_dropped_on_error > drops);
-                }
-            }
-        }
+        self.filter.prefetch(&mut self.machine, addr, pages, None);
     }
 
     fn release(&mut self, addr: u64, pages: u64) {
-        if self.suppressing {
-            self.stats.release_ops += 1;
-            self.suppress();
-            return;
-        }
-        self.stats.release_ops += 1;
-        // Releases cannot observe prefetch-read health, so they never
-        // serve as recovery probes.
-        if self.begin_hint_op(false) {
-            return;
-        }
-        self.stats.release_syscalls += 1;
-        let start = self.machine.page_of(addr);
-        self.machine.sys_release(start, pages);
+        self.filter.release(&mut self.machine, addr, pages);
     }
 
     fn prefetch_release(&mut self, pf_addr: u64, pf_pages: u64, rel_addr: u64, rel_pages: u64) {
-        self.stats.prefetch_ops += 1;
-        self.stats.release_ops += 1;
-        if self.suppressing {
-            self.suppress();
-            return;
-        }
-        if self.begin_hint_op(true) {
-            return;
-        }
-        let pf_start = self.machine.page_of(pf_addr);
-        let rel_start = self.machine.page_of(rel_addr);
-        let pf_pages = pf_pages.min(self.machine.total_pages().saturating_sub(pf_start));
-        self.stats.prefetch_pages += pf_pages;
-        if pf_pages == 0 {
-            self.stats.release_syscalls += 1;
-            self.machine.sys_release(rel_start, rel_pages);
-            return;
-        }
-        match self.mode {
-            FilterMode::Disabled => {
-                self.stats.prefetch_syscalls += 1;
-                self.stats.release_syscalls += 1;
-                self.machine
-                    .sys_prefetch_release(pf_start, pf_pages, rel_start, rel_pages);
-            }
-            FilterMode::Enabled => {
-                let mut k = 0;
-                while k < pf_pages && self.check(pf_start + k) {
-                    self.stats.pages_filtered += 1;
-                    k += 1;
-                }
-                if k == pf_pages {
-                    // Prefetch fully filtered; the release half still
-                    // requires a call.
-                    self.stats.ops_fully_filtered += 1;
-                    self.stats.release_syscalls += 1;
-                    self.machine.sys_release(rel_start, rel_pages);
-                } else {
-                    self.stats.prefetch_syscalls += 1;
-                    self.stats.release_syscalls += 1;
-                    let drops = self.machine.stats().hints_dropped_on_error;
-                    self.machine.sys_prefetch_release(
-                        pf_start + k,
-                        pf_pages - k,
-                        rel_start,
-                        rel_pages,
-                    );
-                    self.note_hint_outcome(self.machine.stats().hints_dropped_on_error > drops);
-                }
-            }
-        }
+        let rel = Some((rel_addr, rel_pages));
+        self.filter
+            .prefetch(&mut self.machine, pf_addr, pf_pages, rel);
     }
 }
 
@@ -557,9 +597,6 @@ impl ArrayData for Runtime {
         self.machine.poke_i64(addr, v);
     }
 }
-
-/// One microsecond, re-exported for check-cost sweeps in benches.
-pub const US: Ns = MICROSECOND;
 
 #[cfg(test)]
 mod tests {
@@ -646,7 +683,7 @@ mod tests {
     fn filter_check_is_two_orders_cheaper_than_syscall() {
         let r = rt(FilterMode::Enabled);
         let syscall = r.machine().params().hint_syscall_ns;
-        assert!(r.check_ns * 50 <= syscall + r.machine().params().hint_per_page_ns);
+        assert!(r.filter.check_ns * 50 <= syscall + r.machine().params().hint_per_page_ns);
     }
 
     #[test]

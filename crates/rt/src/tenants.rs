@@ -10,51 +10,48 @@
 //!
 //! # Interleaving model
 //!
-//! The interpreter is run-to-completion, so each tenant runs on its own
-//! OS thread and the hub passes a *baton* between them: exactly one
-//! thread touches the machine at a time, and every hand-off point is a
-//! deterministic function of simulated state (a blocked demand fault,
-//! or the per-slice operation budget). Wall-clock thread scheduling
-//! cannot change the simulated interleaving, so co-scheduled runs are
+//! The hub runs every tenant on one thread. Each tenant's program is a
+//! pausable [`Executor`], and the hub steps them round-robin: a tenant
+//! runs until a demand fault blocks it or it has made a 256-call slice
+//! of VM calls, then the next runnable tenant goes. Every switch is a
+//! deterministic function of simulated state, so co-scheduled runs are
 //! exactly reproducible.
 //!
 //! A tenant that hard-faults uses the machine's non-blocking touch
 //! ([`Machine::touch_nb`]): all fault bookkeeping happens at block
-//! time, the baton passes to the next runnable tenant, and the clock
-//! only advances idle when *every* tenant is blocked on disk
+//! time, the executor pauses with the access still to retry, and the
+//! clock only advances idle when *every* tenant is blocked on disk
 //! ([`Machine::advance_idle_to`]). Driven with a single tenant this
 //! degenerates to exactly the classic blocking path, so solo-via-hub
 //! runs are bit- and cycle-identical to [`crate::Runtime`] runs.
 //!
 //! # Graceful degradation
 //!
-//! Each tenant carries its own user-level hint filter and degraded-mode
-//! state machine (same constants as [`crate::Runtime`]). On top of the
-//! error-window entry path, the pressure arbiter pushes non-guaranteed
-//! tenants into demand-only degraded mode whenever global pressure
-//! reaches brownout; recovery works by the same probing scheme — every
-//! Nth hint is issued for real, and a streak of clean probes (no error
-//! drops, no pressure sheds) re-enables hinting with a bit-vector
-//! resync.
+//! Each tenant runs the same user-level hint filter and degraded-mode
+//! state machine as [`crate::Runtime`], with its own state and its
+//! [`TenantSpec`] as data. On top of the error-window entry path, the
+//! pressure arbiter pushes non-guaranteed tenants into demand-only
+//! degraded mode whenever global pressure reaches brownout; recovery
+//! works by the same probing scheme — every Nth hint is issued for
+//! real, and a streak of clean probes (no error drops, no pressure
+//! sheds) re-enables hinting with a bit-vector resync.
 //!
 //! # Crash (kill) modeling
 //!
-//! A tenant may be killed after a fixed number of VM operations: from
-//! that point its VM methods are no-ops (loads return zero) and its
-//! interpreter finishes at native speed with zero simulated cost. Its
-//! resident pages linger until the pageout daemon reclaims them —
-//! exactly what happens to a SIGKILLed process's page cache.
+//! A tenant may be killed after a fixed number of VM calls: it stops
+//! there, before making the next call, and its finish time is the clock
+//! at that moment. Its resident pages linger until the pageout daemon
+//! reclaims them — exactly what happens to a SIGKILLed process's page
+//! cache.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-use oocp_ir::{run_program, ArrayBinding, ArrayData, CostModel, PagedVm, Program};
+use oocp_ir::{ArrayBinding, ArrayData, CostModel, Executor, PagedVm, Program, Step};
 use oocp_os::{
-    ConfigError, Machine, MachineParams, MetricsReport, OsStats, PressureLevel, QosClass, Segment,
-    TenantSpec, TenantStats, TimeAttribution, Touch,
+    ConfigError, Machine, MachineParams, MetricsReport, OsStats, Segment, TenantSpec, TenantStats,
+    TimeAttribution, Touch,
 };
 use oocp_sim::time::{Ns, TimeBreakdown};
 
-use crate::{FilterMode, RtStats, Runtime};
+use crate::{FilterMode, HintFilter, RtStats};
 
 /// One tenant's program and policy, as submitted to the hub.
 pub struct TenantProgram {
@@ -66,7 +63,7 @@ pub struct TenantProgram {
     pub spec: TenantSpec,
     /// Whether the user-level hint filter is active for this tenant.
     pub mode: FilterMode,
-    /// Kill the tenant after this many VM operations (crash modeling).
+    /// Kill the tenant after this many VM calls (crash modeling).
     pub kill_at_op: Option<u64>,
 }
 
@@ -88,7 +85,7 @@ impl TenantProgram {
         self
     }
 
-    /// Same tenant, killed after `n` VM operations.
+    /// Same tenant, killed after `n` VM calls.
     pub fn with_kill_at(mut self, n: u64) -> Self {
         self.kill_at_op = Some(n);
         self
@@ -142,508 +139,114 @@ pub struct HubResult {
 }
 
 /// Scheduler state of one tenant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 enum Run {
-    /// Runnable (or currently running).
+    /// Runnable.
     Ready,
     /// Blocked on a demand read completing at the given time.
     Blocked(Ns),
-    /// Interpreter finished.
-    Done,
+    /// Finished at the given time.
+    Done(Ns),
+    /// Killed at the given time.
+    Killed(Ns),
 }
 
-/// Shared mutable state: the machine plus the baton scheduler.
-struct Core {
-    machine: Machine,
-    /// Tenant currently holding the baton (`None` once all are done).
-    running: Option<usize>,
-    state: Vec<Run>,
-    /// Round-robin cursor: last scheduled tenant.
-    rr: usize,
-    /// Per-tenant demand-stall samples (exact, for honest p95s).
-    stalls: Vec<Vec<Ns>>,
+/// VM calls in one slice. Small enough that a compute-bound tenant
+/// cannot starve its neighbours, large enough that switching is noise.
+const OPS_PER_SLICE: u64 = 256;
+
+/// The per-tenant half of the runtime layer: hint filter plus demand
+/// stall samples.
+struct TenantRt {
+    filter: HintFilter,
+    /// Demand-stall samples (exact, for honest p95s).
+    stalls: Vec<Ns>,
+    /// Disk wait accrued by the access currently blocked, if any.
+    wait: Option<Ns>,
 }
 
-struct Shared {
-    core: Mutex<Core>,
-    cv: Condvar,
+/// One tenant's view of the shared machine, for one step of its
+/// executor. The program addresses its own space from 0; the view
+/// relocates every address by the segment's base.
+struct TenantVm<'a> {
+    machine: &'a mut Machine,
+    rt: &'a mut TenantRt,
+    base: u64,
 }
 
-/// Pick the next tenant and hand it the baton. Runs under the core
-/// lock; every call site is a deterministic point in simulated time,
-/// so the schedule is a pure function of program behaviour.
-fn schedule(core: &mut Core, cv: &Condvar) {
-    let n = core.state.len();
-    loop {
-        let now = core.machine.now();
-        let mut pick = None;
-        for k in 1..=n {
-            let t = (core.rr + k) % n;
-            match core.state[t] {
-                Run::Ready => {
-                    pick = Some(t);
-                    break;
-                }
-                Run::Blocked(u) if u <= now => {
-                    pick = Some(t);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        if let Some(t) = pick {
-            core.state[t] = Run::Ready;
-            core.rr = t;
-            core.running = Some(t);
-            core.machine.set_tenant(t as u32);
-            cv.notify_all();
-            return;
-        }
-        // No tenant is runnable. If any are blocked, the whole machine
-        // is waiting on disk: advance the clock (charged as idle) to
-        // the earliest completion and try again. Otherwise all are
-        // done and the baton retires.
-        let next = core
-            .state
-            .iter()
-            .filter_map(|s| match s {
-                Run::Blocked(u) => Some(*u),
-                _ => None,
-            })
-            .min();
-        match next {
-            Some(u) => core.machine.advance_idle_to(u),
-            None => {
-                core.running = None;
-                cv.notify_all();
-                return;
-            }
-        }
-    }
-}
-
-/// Acquire the baton for tenant `id` (blocks the OS thread, never the
-/// sim clock). A free function so the guard borrows the caller's local
-/// `Arc` clone rather than the `TenantVm` itself.
-fn acquire(sh: &Shared, id: usize) -> MutexGuard<'_, Core> {
-    let mut core = sh.core.lock().unwrap();
-    while core.running != Some(id) {
-        core = sh.cv.wait(core).unwrap();
-    }
-    core
-}
-
-/// VM operations between cooperative yields. Small enough that a
-/// compute-bound tenant cannot starve its neighbours, large enough
-/// that baton traffic is noise.
-const OPS_PER_SLICE: u32 = 256;
-
-/// One tenant's virtual machine: the per-tenant half of the runtime
-/// layer (filter + degraded mode) bound to the shared machine through
-/// the baton.
-struct TenantVm {
-    sh: Arc<Shared>,
-    id: usize,
-    spec: TenantSpec,
-    mode: FilterMode,
-    /// User-level cost of one bit-vector check (see [`Runtime::new`]).
-    check_ns: Ns,
-    page_bytes: u64,
-    /// First page and page count of the tenant's segment (hints are
-    /// clamped to it).
-    seg_first: u64,
-    seg_pages: u64,
-    kill_at_op: Option<u64>,
-    ops: u64,
-    ops_since_yield: u32,
-    killed: bool,
-    stats: RtStats,
-    // Degraded-mode state machine, mirroring `Runtime`.
-    degraded: bool,
-    degraded_since: Ns,
-    win_err: u32,
-    win_len: u32,
-    clean_probes: u32,
-    since_probe: u32,
-    hint_seq: u64,
-}
-
-impl TenantVm {
-    /// Count one VM operation; returns `true` when the op must be
-    /// swallowed because the tenant is (now) dead.
-    fn note_op(&mut self) -> bool {
-        if self.killed {
-            return true;
-        }
-        self.ops += 1;
-        if self.kill_at_op.is_some_and(|k| self.ops > k) {
-            self.killed = true;
-            return true;
-        }
-        false
-    }
-
-    /// End-of-op bookkeeping: hand the baton on after a full slice.
-    fn maybe_yield(&mut self, core: &mut Core) {
-        self.ops_since_yield += 1;
-        if self.ops_since_yield >= OPS_PER_SLICE {
-            self.ops_since_yield = 0;
-            schedule(core, &self.sh.cv);
-        }
-    }
-
-    /// Demand-touch with baton hand-off on every blocked fault.
-    fn touch(&mut self, addr: u64, len: u64, write: bool) {
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        // The stall sample is the page-in *service* time: from blocking
-        // to the page's arrival. Alone on the machine the tenant also
-        // resumes at exactly that moment, so the sample equals the
-        // wall-clock wait; co-scheduled, any further delay before the
-        // interpreter runs again is CPU queueing behind other tenants —
-        // scheduler wait, not demand stall, and not what the disk
-        // scheduler and quotas are answerable for.
-        let mut io_wait: Ns = 0;
-        let mut blocked = false;
-        loop {
-            match core.machine.touch_nb(addr, len, write) {
-                Ok(Touch::Done { .. }) => break,
-                Ok(Touch::Blocked { until }) => {
-                    blocked = true;
-                    io_wait += until.saturating_sub(core.machine.now());
-                    core.state[self.id] = Run::Blocked(until);
-                    schedule(&mut core, &self.sh.cv);
-                    while core.running != Some(self.id) {
-                        core = self.sh.cv.wait(core).unwrap();
-                    }
-                }
-                Err(e) => panic!("page-in failed: {e}"),
-            }
-        }
-        if blocked {
-            core.stalls[self.id].push(io_wait);
-        }
-        self.maybe_yield(&mut core);
-    }
-
-    /// Check one page's residency bit in the tenant's private vector,
-    /// charging the user-level cost.
-    fn check(&mut self, core: &mut Core, page: u64) -> bool {
-        self.stats.bit_checks += 1;
-        core.machine.tick_user(self.check_ns);
-        core.machine.tenant_bits_of(self.id as u32).test(page)
-    }
-
-    /// Per-hint-op bookkeeping (see [`Runtime`]): periodic resync,
-    /// arbiter-driven degradation, degraded-mode drops and probes.
-    /// `true` means the op was swallowed cheaply.
-    fn begin_hint_op(&mut self, core: &mut Core, probe_eligible: bool) -> bool {
-        if self.mode != FilterMode::Enabled {
-            return false;
-        }
-        self.hint_seq += 1;
-        if self.hint_seq.is_multiple_of(Runtime::RESYNC_INTERVAL)
-            && core
-                .machine
-                .fault_plan()
-                .is_some_and(|p| p.bitvec_stale_prob > 0.0)
-        {
-            self.stats.periodic_resyncs += 1;
-            core.machine.resync_bits();
-        }
-        // The pressure arbiter's strongest lever: a brownout pushes
-        // non-guaranteed tenants straight into demand-only mode; the
-        // probing recovery below notices when pressure has passed.
-        if !self.degraded
-            && self.spec.qos != QosClass::Guaranteed
-            && core.machine.pressure_level() == PressureLevel::Brownout
-        {
-            self.enter_degraded(core);
-        }
-        if !self.degraded {
-            return false;
-        }
-        if probe_eligible {
-            self.since_probe += 1;
-            if self.since_probe >= Runtime::PROBE_INTERVAL {
-                self.since_probe = 0;
-                return false; // issue this one for real, as a probe
-            }
-        }
-        self.stats.hints_dropped_degraded += 1;
-        core.machine.tick_user(Runtime::SUPPRESS_NS);
-        true
-    }
-
-    /// Record a hint syscall's health: `err` is set when the OS dropped
-    /// any of its pages on an I/O error — or, for non-guaranteed
-    /// tenants, shed them under pressure.
-    fn note_hint_outcome(&mut self, core: &mut Core, err: bool) {
-        if self.degraded {
-            self.stats.degraded_probes += 1;
-            if err {
-                self.clean_probes = 0;
-            } else {
-                self.clean_probes += 1;
-                if self.clean_probes >= Runtime::EXIT_CLEAN_PROBES {
-                    self.exit_degraded(core);
-                }
-            }
-        } else {
-            self.win_err = (self.win_err << 1) | err as u32;
-            self.win_len = (self.win_len + 1).min(Runtime::DEGRADE_WINDOW);
-            if self.win_len >= Runtime::DEGRADE_MIN_SAMPLES
-                && Runtime::DEGRADE_NUM * self.win_err.count_ones() >= self.win_len
-            {
-                self.enter_degraded(core);
-            }
-        }
-    }
-
-    fn enter_degraded(&mut self, core: &mut Core) {
-        self.degraded = true;
-        self.degraded_since = core.machine.now();
-        self.clean_probes = 0;
-        self.since_probe = 0;
-        self.stats.degraded_entries += 1;
-        core.machine.note_degraded(true);
-    }
-
-    fn exit_degraded(&mut self, core: &mut Core) {
-        self.degraded = false;
-        self.stats.degraded_exits += 1;
-        self.stats.degraded_ns += core.machine.now().saturating_sub(self.degraded_since);
-        self.win_err = 0;
-        self.win_len = 0;
-        core.machine.resync_bits();
-        core.machine.note_degraded(false);
-    }
-
-    /// Issue a prefetch syscall and observe its health.
-    fn sys_prefetch(&mut self, core: &mut Core, start: u64, pages: u64) {
-        self.stats.prefetch_syscalls += 1;
-        let before = *core.machine.stats();
-        core.machine.sys_prefetch(start, pages);
-        let after = core.machine.stats();
-        let err = after.hints_dropped_on_error > before.hints_dropped_on_error
-            || (self.spec.qos != QosClass::Guaranteed
-                && after.hints_dropped_pressure > before.hints_dropped_pressure);
-        self.note_hint_outcome(core, err);
-    }
-
-    /// Clamp a hint to the tenant's segment and its pipelining-depth
-    /// quota (tightened for best-effort tenants under elevated
-    /// pressure: the arbiter's second lever).
-    fn clamp_hint(&self, core: &Core, start: u64, pages: u64) -> u64 {
-        let end = self.seg_first + self.seg_pages;
-        let mut pages = pages.min(end.saturating_sub(start));
-        if let Some(d) = self.spec.max_pipeline_depth {
-            pages = pages.min(d.max(1));
-        }
-        if self.spec.qos == QosClass::BestEffort
-            && core.machine.pressure_level() == PressureLevel::Elevated
-        {
-            pages = pages.min(oocp_os::ELEVATED_BEST_EFFORT_SLOTS);
-        }
-        pages
-    }
-
-    /// Finish: mark Done and pass the baton on if this tenant held it.
-    fn finish(&self) -> Ns {
-        let mut core = self.sh.core.lock().unwrap();
-        core.state[self.id] = Run::Done;
-        let at = core.machine.now();
-        if core.running == Some(self.id) {
-            schedule(&mut core, &self.sh.cv);
-        } else {
-            self.sh.cv.notify_all();
-        }
-        at
-    }
-}
-
-impl PagedVm for TenantVm {
+impl PagedVm for TenantVm<'_> {
     fn page_bytes(&self) -> u64 {
-        self.page_bytes
+        self.machine.params().page_bytes
     }
 
     fn tick_user(&mut self, ns: u64) {
-        if self.note_op() {
-            return;
-        }
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        core.machine.tick_user(ns);
-        self.maybe_yield(&mut core);
+        self.machine.tick_user(ns);
     }
 
-    fn load_f64(&mut self, addr: u64) -> f64 {
-        if self.note_op() {
-            return 0.0;
+    /// The stall sample is the page-in *service* time: from blocking to
+    /// the page's arrival. Alone on the machine the tenant also resumes
+    /// at exactly that moment, so the sample equals the wall-clock wait;
+    /// co-scheduled, any further delay before the tenant runs again is
+    /// CPU queueing behind other tenants — scheduler wait, not demand
+    /// stall, and not what the disk scheduler and quotas are answerable
+    /// for.
+    fn touch_nb(&mut self, addr: u64, write: bool) -> Option<u64> {
+        match self.machine.touch_nb(self.base + addr, 8, write) {
+            Ok(Touch::Done { .. }) => {
+                if let Some(w) = self.rt.wait.take() {
+                    self.rt.stalls.push(w);
+                }
+                None
+            }
+            Ok(Touch::Blocked { until }) => {
+                *self.rt.wait.get_or_insert(0) += until.saturating_sub(self.machine.now());
+                Some(until)
+            }
+            Err(e) => panic!("page-in failed: {e}"),
         }
-        self.touch(addr, 8, false);
-        let sh = Arc::clone(&self.sh);
-        let core = acquire(&sh, self.id);
-        core.machine.peek_f64(addr)
+    }
+
+    // Loads and stores follow a `touch_nb` that made the page ready.
+    fn load_f64(&mut self, addr: u64) -> f64 {
+        self.machine.peek_f64(self.base + addr)
     }
 
     fn store_f64(&mut self, addr: u64, v: f64) {
-        if self.note_op() {
-            return;
-        }
-        self.touch(addr, 8, true);
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        core.machine.poke_f64(addr, v);
+        self.machine.poke_f64(self.base + addr, v);
     }
 
     fn load_i64(&mut self, addr: u64) -> i64 {
-        if self.note_op() {
-            return 0;
-        }
-        self.touch(addr, 8, false);
-        let sh = Arc::clone(&self.sh);
-        let core = acquire(&sh, self.id);
-        core.machine.peek_i64(addr)
+        self.machine.peek_i64(self.base + addr)
     }
 
     fn store_i64(&mut self, addr: u64, v: i64) {
-        if self.note_op() {
-            return;
-        }
-        self.touch(addr, 8, true);
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        core.machine.poke_i64(addr, v);
+        self.machine.poke_i64(self.base + addr, v);
     }
 
     fn prefetch(&mut self, addr: u64, pages: u64) {
-        if self.note_op() {
-            return;
-        }
-        self.stats.prefetch_ops += 1;
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        if self.begin_hint_op(&mut core, true) {
-            self.maybe_yield(&mut core);
-            return;
-        }
-        let start = addr / self.page_bytes;
-        let pages = self.clamp_hint(&core, start, pages);
-        self.stats.prefetch_pages += pages;
-        if pages == 0 {
-            self.maybe_yield(&mut core);
-            return;
-        }
-        match self.mode {
-            FilterMode::Disabled => {
-                self.stats.prefetch_syscalls += 1;
-                core.machine.sys_prefetch(start, pages);
-            }
-            FilterMode::Enabled => {
-                let mut k = 0;
-                while k < pages && self.check(&mut core, start + k) {
-                    self.stats.pages_filtered += 1;
-                    k += 1;
-                }
-                if k == pages {
-                    self.stats.ops_fully_filtered += 1;
-                } else {
-                    self.sys_prefetch(&mut core, start + k, pages - k);
-                }
-            }
-        }
-        self.maybe_yield(&mut core);
+        let addr = self.base + addr;
+        self.rt.filter.prefetch(self.machine, addr, pages, None);
     }
 
     fn release(&mut self, addr: u64, pages: u64) {
-        if self.note_op() {
-            return;
-        }
-        self.stats.release_ops += 1;
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        if self.begin_hint_op(&mut core, false) {
-            self.maybe_yield(&mut core);
-            return;
-        }
-        self.stats.release_syscalls += 1;
-        // Raw page count, exactly like `Runtime`: the hint charge is a
-        // function of the pages *named*, and the OS itself refuses to
-        // release pages the tenant does not own.
-        let start = addr / self.page_bytes;
-        core.machine.sys_release(start, pages);
-        self.maybe_yield(&mut core);
+        self.rt
+            .filter
+            .release(self.machine, self.base + addr, pages);
     }
 
     fn prefetch_release(&mut self, pf_addr: u64, pf_pages: u64, rel_addr: u64, rel_pages: u64) {
-        if self.note_op() {
-            return;
-        }
-        self.stats.prefetch_ops += 1;
-        self.stats.release_ops += 1;
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        if self.begin_hint_op(&mut core, true) {
-            self.maybe_yield(&mut core);
-            return;
-        }
-        let pf_start = pf_addr / self.page_bytes;
-        let rel_start = rel_addr / self.page_bytes;
-        let pf_pages = self.clamp_hint(&core, pf_start, pf_pages);
-        self.stats.prefetch_pages += pf_pages;
-        if pf_pages == 0 {
-            self.stats.release_syscalls += 1;
-            core.machine.sys_release(rel_start, rel_pages);
-            self.maybe_yield(&mut core);
-            return;
-        }
-        match self.mode {
-            FilterMode::Disabled => {
-                self.stats.prefetch_syscalls += 1;
-                self.stats.release_syscalls += 1;
-                core.machine
-                    .sys_prefetch_release(pf_start, pf_pages, rel_start, rel_pages);
-            }
-            FilterMode::Enabled => {
-                let mut k = 0;
-                while k < pf_pages && self.check(&mut core, pf_start + k) {
-                    self.stats.pages_filtered += 1;
-                    k += 1;
-                }
-                if k == pf_pages {
-                    self.stats.ops_fully_filtered += 1;
-                    self.stats.release_syscalls += 1;
-                    core.machine.sys_release(rel_start, rel_pages);
-                } else {
-                    self.stats.prefetch_syscalls += 1;
-                    self.stats.release_syscalls += 1;
-                    let before = *core.machine.stats();
-                    core.machine.sys_prefetch_release(
-                        pf_start + k,
-                        pf_pages - k,
-                        rel_start,
-                        rel_pages,
-                    );
-                    let after = core.machine.stats();
-                    let err = after.hints_dropped_on_error > before.hints_dropped_on_error
-                        || (self.spec.qos != QosClass::Guaranteed
-                            && after.hints_dropped_pressure > before.hints_dropped_pressure);
-                    self.note_hint_outcome(&mut core, err);
-                }
-            }
-        }
-        self.maybe_yield(&mut core);
+        let (addr, rel) = (self.base + pf_addr, Some((self.base + rel_addr, rel_pages)));
+        self.rt.filter.prefetch(self.machine, addr, pf_pages, rel);
     }
 }
 
 /// One registered tenant inside the hub.
 struct Entry {
-    prog: Program,
+    exec: Executor,
+    rt: TenantRt,
+    run: Run,
+    /// Segment-offset array bindings (initialization and verification).
     binds: Vec<ArrayBinding>,
-    params: Vec<i64>,
-    spec: TenantSpec,
-    mode: FilterMode,
     kill_at_op: Option<u64>,
     seg: Segment,
 }
@@ -652,7 +255,8 @@ struct Entry {
 pub struct TenantHub {
     machine: Machine,
     entries: Vec<Entry>,
-    cost: CostModel,
+    /// Room for the run's per-tenant outcomes.
+    outcomes: Vec<TenantOutcome>,
 }
 
 /// Init/verify view of a machine's backing store (zero-cost
@@ -690,26 +294,41 @@ impl TenantHub {
     pub fn new(params: MachineParams, programs: Vec<TenantProgram>) -> Result<Self, ConfigError> {
         params.check()?;
         assert!(!programs.is_empty(), "a hub needs at least one tenant");
-        let layouts: Vec<(Vec<ArrayBinding>, u64)> = programs
-            .iter()
-            .map(|t| ArrayBinding::sequential(&t.prog, params.page_bytes))
-            .collect();
-        let total: u64 = layouts.iter().map(|(_, b)| b).sum();
-        let mut machine = Machine::new(params, total);
-        let entries = programs
+        // Everything a run needs is allocated before the machine's
+        // memory: the lowered programs, the stall records (about one
+        // sample per page), and the outcomes. A run then leaves nothing
+        // that outlives it next to that memory, where it would fragment
+        // the heap from one hub to the next.
+        let outcomes = Vec::with_capacity(programs.len());
+        let lowered: Vec<_> = programs
             .into_iter()
-            .zip(layouts)
-            .map(|(t, (mut binds, bytes))| {
+            .map(|t| {
+                let (binds, bytes) = ArrayBinding::sequential(&t.prog, params.page_bytes);
+                let exec = Executor::new(&t.prog, &binds, &t.params, CostModel::default());
+                let stalls = Vec::with_capacity((bytes / params.page_bytes) as usize);
+                (t, binds, bytes, exec, stalls)
+            })
+            .collect();
+        let total: u64 = lowered.iter().map(|l| l.2).sum();
+        let mut machine = Machine::new(params, total);
+        let entries = lowered
+            .into_iter()
+            .enumerate()
+            .map(|(id, (t, mut binds, bytes, exec, stalls))| {
                 let (_, seg) = machine.register_tenant(t.spec, bytes);
                 for b in &mut binds {
                     b.base += seg.base;
                 }
+                let filter = HintFilter::new(&machine, t.mode, t.spec, id as u32, seg);
                 Entry {
-                    prog: t.prog,
+                    exec,
+                    rt: TenantRt {
+                        filter,
+                        stalls,
+                        wait: None,
+                    },
+                    run: Run::Ready,
                     binds,
-                    params: t.params,
-                    spec: t.spec,
-                    mode: t.mode,
                     kill_at_op: t.kill_at_op,
                     seg,
                 }
@@ -718,13 +337,15 @@ impl TenantHub {
         Ok(Self {
             machine,
             entries,
-            cost: CostModel::default(),
+            outcomes,
         })
     }
 
     /// Same hub with a different interpreter cost model.
     pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
+        for e in &mut self.entries {
+            e.exec.set_cost(cost);
+        }
         self
     }
 
@@ -757,106 +378,87 @@ impl TenantHub {
     /// [`TenantHub::run`], additionally handing back the finished
     /// machine (for workload verifiers and post-mortems).
     pub fn run_full(self) -> (HubResult, Machine) {
-        let n = self.entries.len();
-        let check_ns = (self.machine.params().hint_syscall_ns / 100).max(1);
-        let page_bytes = self.machine.params().page_bytes;
-        let shared = Arc::new(Shared {
-            core: Mutex::new(Core {
-                machine: self.machine,
-                running: None,
-                state: vec![Run::Ready; n],
-                rr: n - 1,
-                stalls: vec![Vec::new(); n],
-            }),
-            cv: Condvar::new(),
-        });
-        {
-            let mut core = shared.core.lock().unwrap();
-            schedule(&mut core, &shared.cv);
+        let Self {
+            mut machine,
+            mut entries,
+            mut outcomes,
+        } = self;
+        let n = entries.len();
+        // Round-robin cursor: the last tenant scheduled.
+        let mut rr = n - 1;
+        loop {
+            let now = machine.now();
+            let pick = (1..=n)
+                .map(|k| (rr + k) % n)
+                .find(|&t| match entries[t].run {
+                    Run::Ready => true,
+                    Run::Blocked(u) => u <= now,
+                    Run::Done(_) | Run::Killed(_) => false,
+                });
+            let Some(t) = pick else {
+                // No tenant is runnable. If any are blocked, the whole
+                // machine is waiting on disk: advance the clock (charged
+                // as idle) to the earliest completion. Otherwise all are
+                // done.
+                let next = entries.iter().filter_map(|e| match e.run {
+                    Run::Blocked(u) => Some(u),
+                    _ => None,
+                });
+                match next.min() {
+                    Some(u) => machine.advance_idle_to(u),
+                    None => break,
+                }
+                continue;
+            };
+            rr = t;
+            machine.set_tenant(t as u32);
+            // Run to the end of the slice, or to the kill point.
+            let e = &mut entries[t];
+            let slice_end = (e.exec.calls() / OPS_PER_SLICE + 1) * OPS_PER_SLICE;
+            let limit = e.kill_at_op.map_or(slice_end, |k| slice_end.min(k));
+            let mut vm = TenantVm {
+                machine: &mut machine,
+                rt: &mut e.rt,
+                base: e.seg.base,
+            };
+            e.run = match e.exec.step(&mut vm, limit) {
+                Step::Blocked(u) => Run::Blocked(u),
+                Step::Yield if e.kill_at_op == Some(e.exec.calls()) => Run::Killed(machine.now()),
+                Step::Yield => Run::Ready,
+                Step::Done => Run::Done(machine.now()),
+            };
         }
-        let cost = self.cost;
-        let mut joined: Vec<Option<(RtStats, bool, Ns)>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(id, e)| {
-                    let sh = Arc::clone(&shared);
-                    s.spawn(move || {
-                        let mut vm = TenantVm {
-                            sh,
-                            id,
-                            spec: e.spec,
-                            mode: e.mode,
-                            check_ns,
-                            page_bytes,
-                            seg_first: e.seg.base / page_bytes,
-                            seg_pages: e.seg.bytes / page_bytes,
-                            kill_at_op: e.kill_at_op,
-                            ops: 0,
-                            ops_since_yield: 0,
-                            killed: false,
-                            stats: RtStats::default(),
-                            degraded: false,
-                            degraded_since: 0,
-                            win_err: 0,
-                            win_len: 0,
-                            clean_probes: 0,
-                            since_probe: 0,
-                            hint_seq: 0,
-                        };
-                        run_program(&e.prog, &e.binds, &e.params, cost, &mut vm);
-                        let at = vm.finish();
-                        (vm.stats, vm.killed, at)
-                    })
-                })
-                .collect();
-            for (id, h) in handles.into_iter().enumerate() {
-                joined[id] = Some(h.join().expect("tenant thread panicked"));
-            }
-        });
-        let core = Arc::try_unwrap(shared)
-            .unwrap_or_else(|_| unreachable!("all tenant threads joined"))
-            .core
-            .into_inner()
-            .unwrap();
-        let mut machine = core.machine;
-        let stalls = core.stalls;
         // Flush leftover dirty pages exactly like a solo run's finish.
         let _ = machine.try_finish();
-        let tenants = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(t, e)| {
-                let (rt, killed, finished_at) = joined[t].take().expect("every tenant joined");
-                let mut sorted = stalls[t].clone();
-                sorted.sort_unstable();
-                let p95 = if sorted.is_empty() {
-                    0
-                } else {
-                    sorted[(sorted.len() - 1) * 95 / 100]
-                };
-                TenantOutcome {
-                    checksum: segment_checksum(&machine, e.seg),
-                    killed,
-                    finished_at,
-                    demand_stall_p95_ns: p95,
-                    demand_stalls: sorted.len() as u64,
-                    resident_frames: machine.tenant_usage(t as u32),
-                    os: machine.tenant_stats(t as u32),
-                    rt,
-                }
-            })
-            .collect();
+        outcomes.extend(entries.iter_mut().enumerate().map(|(t, e)| {
+            let (Run::Done(finished_at) | Run::Killed(finished_at)) = e.run else {
+                unreachable!("every tenant ran to the end")
+            };
+            let sorted = &mut e.rt.stalls;
+            sorted.sort_unstable();
+            let p95 = if sorted.is_empty() {
+                0
+            } else {
+                sorted[(sorted.len() - 1) * 95 / 100]
+            };
+            TenantOutcome {
+                checksum: segment_checksum(&machine, e.seg),
+                killed: matches!(e.run, Run::Killed(_)),
+                finished_at,
+                demand_stall_p95_ns: p95,
+                demand_stalls: sorted.len() as u64,
+                resident_frames: machine.tenant_usage(t as u32),
+                os: machine.tenant_stats(t as u32),
+                rt: e.rt.filter.stats,
+            }
+        }));
         let res = HubResult {
             elapsed_ns: machine.now(),
             time: machine.breakdown(),
             os: *machine.stats(),
             attr: machine.attribution(),
             obs: machine.metrics_report(),
-            tenants,
+            tenants: outcomes,
         };
         (res, machine)
     }
@@ -883,7 +485,9 @@ pub fn segment_checksum(machine: &Machine, seg: Segment) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oocp_ir::{lin, var, ArrayRef, ElemType, Expr, HintTarget, Stmt};
+    use crate::Runtime;
+    use oocp_ir::{lin, run_program, var, ArrayRef, ElemType, Expr, HintTarget, Stmt};
+    use oocp_os::QosClass;
 
     const PAGE: u64 = 4096;
     const WORDS: i64 = (PAGE / 8) as i64;
@@ -1094,6 +698,177 @@ mod tests {
             res.tenants[1].os.quota_evictions > 0,
             "the starved tenant must have recycled its own frames"
         );
+    }
+
+    /// One block prefetch of `pages` pages at page `at` of a
+    /// `len`-page array, and nothing else.
+    fn one_hint(len: i64, at: i64, pages: u64) -> Program {
+        let mut p = Program::new("hint");
+        let a = p.array("a", ElemType::F64, vec![len * WORDS]);
+        p.body = vec![Stmt::Prefetch {
+            target: HintTarget {
+                target: ArrayRef::affine(a, vec![lin(at * WORDS)]),
+            },
+            pages,
+        }];
+        p
+    }
+
+    /// Co-schedule `tenants` on the out-of-core machine under a
+    /// resident-limit schedule (see [`Machine::set_pressure_schedule`]).
+    fn co_run(tenants: Vec<(Program, TenantSpec)>, pressure: Vec<(Ns, u64)>) -> HubResult {
+        let n = tenants.len();
+        let programs = tenants
+            .into_iter()
+            .map(|(p, s)| TenantProgram::new(p, vec![]).with_spec(s))
+            .collect();
+        let mut hub = TenantHub::new(params(), programs).unwrap();
+        for t in 0..n {
+            let seg = hub.segment(t);
+            fill(&mut hub.data(), seg.base, seg.bytes, t as u64);
+        }
+        hub.machine_mut().set_pressure_schedule(pressure);
+        hub.run()
+    }
+
+    fn spec(qos: QosClass) -> TenantSpec {
+        TenantSpec::unlimited().with_qos(qos)
+    }
+
+    /// For each of `pages` pages: prefetch a 4-page block `dist` pages
+    /// ahead and bump the page's first word; nothing is released.
+    fn ahead(pages: i64, dist: i64) -> Program {
+        let mut p = Program::new("ahead");
+        let a = p.array("a", ElemType::F64, vec![pages * WORDS]);
+        let at = |idx: oocp_ir::LinExpr| ArrayRef::affine(a, vec![idx]);
+        let i = p.fresh_var();
+        p.body = vec![Stmt::for_(
+            i,
+            lin(0),
+            lin(pages),
+            1,
+            vec![
+                Stmt::Prefetch {
+                    target: HintTarget {
+                        target: at(var(i).offset(dist).scale(WORDS)),
+                    },
+                    pages: 4,
+                },
+                Stmt::Store {
+                    dst: at(var(i).scale(WORDS)),
+                    value: Expr::add(Expr::LoadF(at(var(i).scale(WORDS))), Expr::ConstF(1.0)),
+                },
+            ],
+        )];
+        p
+    }
+
+    #[test]
+    fn brownout_degrades_non_guaranteed_tenants_until_probes_recover() {
+        // The guaranteed hog opens with a 64-page block prefetch that
+        // fills memory with in-flight reads: the pool drains below the
+        // low watermark, a brownout.
+        let mut hog = demand(256);
+        hog.body.insert(
+            0,
+            Stmt::Prefetch {
+                target: HintTarget {
+                    target: ArrayRef::affine(0, vec![lin(0)]),
+                },
+                pages: 64,
+            },
+        );
+        let res = co_run(
+            vec![
+                (hog, spec(QosClass::Guaranteed)),
+                (stream(256), spec(QosClass::Burstable)),
+                (stream(256), spec(QosClass::BestEffort)),
+            ],
+            vec![],
+        );
+        let g = &res.tenants[0].rt;
+        assert_eq!(g.degraded_entries, 0, "guaranteed tenants never degrade");
+        assert_eq!(g.hints_dropped_degraded, 0);
+        for (t, out) in res.tenants.iter().enumerate().skip(1) {
+            let rt = &out.rt;
+            assert!(rt.degraded_entries >= 1, "tenant {t} must degrade");
+            assert!(rt.hints_dropped_degraded > 0, "tenant {t} drops hints");
+            assert!(
+                rt.degraded_probes >= Runtime::EXIT_CLEAN_PROBES as u64,
+                "tenant {t} probes its way out"
+            );
+            assert_eq!(
+                rt.degraded_exits, rt.degraded_entries,
+                "tenant {t} recovers"
+            );
+            assert!(rt.degraded_ns > 0);
+        }
+        assert_eq!(res.os.hints_dropped_on_error, 0, "no I/O errors involved");
+    }
+
+    #[test]
+    fn pressure_sheds_count_as_hint_errors_only_below_guaranteed() {
+        // Nothing is released, so memory stays full and the pool sits
+        // between the watermarks: elevated pressure, where only the
+        // best-effort tenant's pipelining is shed.
+        let res = co_run(
+            vec![
+                (ahead(256, 16), spec(QosClass::Guaranteed)),
+                (ahead(256, 16), spec(QosClass::Burstable)),
+                (ahead(256, 16), spec(QosClass::BestEffort)),
+            ],
+            vec![],
+        );
+        assert_eq!(res.os.hints_dropped_on_error, 0, "no I/O errors involved");
+        let [g, b, be] = [&res.tenants[0], &res.tenants[1], &res.tenants[2]];
+        assert_eq!(g.os.hints_dropped_pressure, 0);
+        assert_eq!(g.rt.degraded_entries, 0);
+        // The burstable tenant never saw a brownout at a hint (it would
+        // have degraded on the spot), so the best-effort tenant's
+        // episodes were entered through its error window, fed by sheds.
+        assert_eq!(b.os.hints_dropped_pressure, 0);
+        assert_eq!(b.rt.degraded_entries, 0);
+        assert!(be.os.hints_dropped_pressure > 0, "best effort is shed");
+        assert!(be.rt.degraded_entries > 0, "sheds count as hint errors");
+    }
+
+    #[test]
+    fn hints_clamp_to_segment_depth_and_elevated_best_effort_slots() {
+        // Segment end: 8 pages named at tenant 0's last page would run
+        // into tenant 1's segment.
+        let res = co_run(
+            vec![
+                (one_hint(4, 3, 8), TenantSpec::unlimited()),
+                (one_hint(4, 0, 1), TenantSpec::unlimited()),
+            ],
+            vec![],
+        );
+        assert_eq!(res.tenants[0].rt.prefetch_pages, 1);
+        assert_eq!(res.tenants[0].os.prefetch_pages_issued, 1);
+        // Pipeline depth quota.
+        let shallow = TenantSpec {
+            max_pipeline_depth: Some(2),
+            ..TenantSpec::unlimited()
+        };
+        let res = co_run(vec![(one_hint(16, 0, 8), shallow)], vec![]);
+        assert_eq!(res.tenants[0].rt.prefetch_pages, 2);
+        // Elevated pressure: tenant 0's 50 in-flight pages leave a pool
+        // of 14 frames, between the watermarks (8 and 16). Only the
+        // best-effort tenant is clamped.
+        let res = co_run(
+            vec![
+                (one_hint(64, 0, 50), TenantSpec::unlimited()),
+                (one_hint(16, 0, 8), spec(QosClass::BestEffort)),
+                (one_hint(16, 0, 8), spec(QosClass::Burstable)),
+            ],
+            vec![],
+        );
+        assert_eq!(res.tenants[0].rt.prefetch_pages, 50);
+        assert_eq!(
+            res.tenants[1].rt.prefetch_pages,
+            oocp_os::ELEVATED_BEST_EFFORT_SLOTS
+        );
+        assert_eq!(res.tenants[2].rt.prefetch_pages, 8);
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! full stack is bit-identical — the property the whole experiment
 //! methodology rests on.
 
+use oocp::ir::{Executor, Step};
+use oocp::rt::{FilterMode, Runtime, TenantHub, TenantProgram};
+use oocp_bench::tenants::{platform, seed_of, tenant_spec, tenant_workload};
 use oocp_bench::{run_workload, Config, Mode};
 use oocp_nas::{build, App};
 
@@ -71,4 +74,80 @@ fn fault_wait_statistics_are_populated() {
         total(&p.os),
         total(&o.os)
     );
+}
+
+/// VM calls per hub slice ([`TenantHub`] switches tenants every 256).
+const SLICE: u64 = 256;
+
+/// The co-scheduling hub is as reproducible as a solo run: the same
+/// three tenants, one killed exactly on a slice boundary, run twice.
+#[test]
+fn co_scheduled_hub_is_deterministic() {
+    let cfg = platform();
+    let (w, prog) = tenant_workload(&cfg);
+    let run = || {
+        let programs = (0..3)
+            .map(|t| {
+                let p = TenantProgram::new(prog.clone(), w.param_values.clone())
+                    .with_spec(tenant_spec(&cfg, t));
+                if t == 1 {
+                    p.with_kill_at(2 * SLICE)
+                } else {
+                    p
+                }
+            })
+            .collect();
+        let mut hub = TenantHub::new(cfg.machine, programs)
+            .expect("canonical platform is valid")
+            .with_cost(cfg.cost);
+        for t in 0..3 {
+            let binds = hub.binds(t).to_vec();
+            w.init(&binds, &mut hub.data(), seed_of(&cfg, t));
+        }
+        hub.run()
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.elapsed_ns, b.elapsed_ns);
+    for (t, (x, y)) in a.tenants.iter().zip(&b.tenants).enumerate() {
+        assert_eq!(x.checksum, y.checksum, "tenant {t} checksum");
+        assert_eq!(x.finished_at, y.finished_at, "tenant {t} finish");
+        assert_eq!(
+            x.demand_stall_p95_ns, y.demand_stall_p95_ns,
+            "tenant {t} p95"
+        );
+        assert_eq!(x.demand_stalls, y.demand_stalls, "tenant {t} stalls");
+        assert_eq!(x.rt, y.rt, "tenant {t} run-time counters");
+        assert_eq!(x.killed, t == 1, "tenant {t} kill flag");
+    }
+    let victim = a.tenants[1].finished_at;
+    assert!(
+        a.tenants.iter().all(|t| t.finished_at >= victim),
+        "the victim stops at its kill, before any survivor finishes"
+    );
+}
+
+/// A tenant killed after `k` VM calls finishes at the clock of its
+/// kill: alone on the machine, exactly where a [`Runtime`] stands after
+/// an executor has made the same `k` calls.
+#[test]
+fn killed_tenant_finishes_at_the_clock_of_its_kill() {
+    let cfg = platform();
+    let (w, prog) = tenant_workload(&cfg);
+    let kill_at = 2 * SLICE;
+    let program = TenantProgram::new(prog.clone(), w.param_values.clone()).with_kill_at(kill_at);
+    let mut hub = TenantHub::new(cfg.machine, vec![program])
+        .expect("canonical platform is valid")
+        .with_cost(cfg.cost);
+    let binds = hub.binds(0).to_vec();
+    w.init(&binds, &mut hub.data(), seed_of(&cfg, 0));
+    let hub = hub.run();
+    assert!(hub.tenants[0].killed);
+
+    let (mut rt, binds) = Runtime::for_program(cfg.machine, &prog, FilterMode::Enabled);
+    w.init(&binds, &mut rt, seed_of(&cfg, 0));
+    let mut exec = Executor::new(&prog, &binds, &w.param_values, cfg.cost);
+    assert_eq!(exec.step(&mut rt, kill_at), Step::Yield);
+    assert_eq!(exec.calls(), kill_at);
+    assert_eq!(hub.tenants[0].finished_at, rt.machine().now());
+    assert_eq!(hub.tenants[0].rt, *rt.stats());
 }
